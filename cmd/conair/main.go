@@ -153,6 +153,9 @@ func main() {
 	}
 
 	if *sanitize {
+		if m.Main() < 0 {
+			fatal(fmt.Errorf("%s: no main function", m.Name))
+		}
 		if runSanitize(m, *sanitizeBudget, *sanitizeMaxSteps, *quiet) {
 			waitTelemetry()
 			os.Exit(1)
@@ -231,18 +234,18 @@ func runSanitize(m *mir.Module, budget, maxSteps int64, quiet bool) bool {
 			MaxSteps:  maxSteps,
 			Sanitizer: san,
 		}
-		cfg, flight := flightConfig(m, cfg, replay.Meta{Seed: seed, Label: m.Name + "-sanitize"})
+		cfg, finish := flightConfig(m, cfg, replay.Meta{Seed: seed, Label: m.Name + "-sanitize"})
 		start := time.Now()
 		r := interp.RunModule(m, cfg)
 		var rec *replay.Recording
-		if flight != nil {
-			rec = flight.Finish(r)
+		if finish != nil {
+			rec = finish(r)
 		}
 		registerRun(runner.RunInfo{
 			Label: m.Name + "-sanitize", Seed: seed, Sched: "pct",
 			Elapsed: time.Since(start), Result: r,
 			Recording:          rec,
-			RecordingTruncated: flight != nil && rec == nil,
+			RecordingTruncated: finish != nil && rec == nil,
 		})
 		runs++
 		for _, rep := range san.Reports() {

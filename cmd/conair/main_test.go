@@ -83,3 +83,21 @@ func TestTestdataPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRecordRejectsModuleWithoutMain: a parseable module with no main
+// (an empty file) is an error from -record, not an interpreter panic.
+func TestRunRecordRejectsModuleWithoutMain(t *testing.T) {
+	dir := t.TempDir()
+	file := dir + "/empty.mir"
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := dir + "/x.cnr"
+	err := runRecord(recordOpts{out: out, file: file, schedN: "random", quiet: true})
+	if err == nil {
+		t.Fatal("runRecord accepted a module without main")
+	}
+	if _, statErr := os.Stat(out); statErr == nil {
+		t.Error("runRecord wrote an artifact for a module without main")
+	}
+}

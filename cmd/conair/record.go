@@ -67,6 +67,9 @@ func recordModule(o recordOpts) (*mir.Module, error) {
 			return nil, err
 		}
 	}
+	if m.Main() < 0 {
+		return nil, fmt.Errorf("%s: no main function", m.Name)
+	}
 	if o.hardened {
 		h, err := core.Harden(m, core.DefaultOptions())
 		if err != nil {

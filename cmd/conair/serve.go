@@ -59,9 +59,9 @@ func registerRun(info runner.RunInfo) {
 
 // flightConfig arms cfg with the always-on bounded flight recorder when
 // the telemetry server is up, so any failing run yields a replayable
-// artifact at /runs/{id}/recording without -record. The returned capture
-// is nil when -serve is off.
-func flightConfig(mod *mir.Module, cfg interp.Config, meta replay.Meta) (interp.Config, *replay.FlightCapture) {
+// artifact at /runs/{id}/recording without -record. The returned finish
+// func is nil when -serve is off.
+func flightConfig(mod *mir.Module, cfg interp.Config, meta replay.Meta) (interp.Config, func(*interp.Result) *replay.Recording) {
 	if telemetry == nil {
 		return cfg, nil
 	}

@@ -118,19 +118,19 @@ func main() {
 		cfg.MaxThreads = rec.MaxThreads
 		cfg.NoDeadlockCycles = rec.NoDeadlockCycles
 	}
-	var finish func(*interp.Result) *replay.Recording
-	if *record != "" {
-		if rec != nil {
-			fatal(fmt.Errorf("-record and -replay are mutually exclusive"))
-		}
-		cfg, finish = replay.Capture(m, cfg, replay.Meta{Seed: *seed, Label: "mirrun"})
+	if *record != "" && rec != nil {
+		fatal(fmt.Errorf("-record and -replay are mutually exclusive"))
 	}
-	// Under -serve a live run without an explicit recording is armed with
-	// the always-on flight recorder, so a failure still yields a
-	// replayable artifact at /runs/1/recording.
-	var flight *replay.FlightCapture
-	if telemetry != nil && finish == nil && rec == nil {
-		cfg, flight = replay.CaptureFlight(m, cfg, replay.Meta{Seed: *seed, Label: m.Name}, runner.DefaultFlightLimit)
+	// -record captures the whole schedule. Under -serve a live run without
+	// an explicit recording is armed with the always-on flight recorder,
+	// so a failure still yields a replayable artifact at /runs/1/recording.
+	var finish func(*interp.Result) *replay.Recording
+	if *record != "" || (telemetry != nil && rec == nil) {
+		meta, limit := replay.Meta{Seed: *seed, Label: "mirrun"}, 0
+		if *record == "" {
+			meta.Label, limit = m.Name, runner.DefaultFlightLimit
+		}
+		cfg, finish = replay.CaptureFlight(m, cfg, meta, limit)
 	}
 	if *trace {
 		cfg.Trace = os.Stderr
@@ -151,6 +151,8 @@ func main() {
 	var captured *replay.Recording
 	if finish != nil {
 		captured = finish(r)
+	}
+	if *record != "" {
 		if err := replay.WriteFile(*record, captured); err != nil {
 			fatal(err)
 		}
@@ -159,16 +161,13 @@ func main() {
 	}
 	if telemetry != nil {
 		regRec, seedVal, schedLabel := captured, *seed, *schedName
-		if flight != nil && regRec == nil {
-			regRec = flight.Finish(r)
-		}
 		if rec != nil {
 			regRec, seedVal, schedLabel = rec, rec.Seed, rec.SchedName
 		}
 		registerRun(runner.RunInfo{
 			Label: m.Name, Seed: seedVal, Sched: schedLabel,
 			Elapsed: elapsed, Result: r, Recording: regRec,
-			RecordingTruncated: flight != nil && regRec == nil,
+			RecordingTruncated: finish != nil && captured == nil,
 		})
 	}
 	if sr != nil {

@@ -57,9 +57,9 @@ func SetRunHook(h runner.RunHook) { eng.RunHook = h }
 
 // SetFlightLimit arms the always-on flight recorder on every engine job
 // with the given ring capacity (runner.DefaultFlightLimit when n < 0, off
-// when 0). Ignored for jobs while an auto-recorder is attached, which
-// captures full schedules instead. Not safe to call while sweeps are in
-// flight.
+// when 0). Ignored while an auto-recorder is attached: every job then
+// runs under the same recorder with no limit. Not safe to call while
+// sweeps are in flight.
 func SetFlightLimit(n int) {
 	if n < 0 {
 		n = runner.DefaultFlightLimit

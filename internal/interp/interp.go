@@ -102,8 +102,10 @@ type VM struct {
 
 // New prepares a VM for the module, compiling it to the flat code stream
 // (memoized per module — see Compile). The module must contain a main
-// function with no parameters; New panics otherwise (the verifier enforces
-// the signature, so this indicates misuse rather than bad input).
+// function with no parameters; New panics with mir.ErrNoMain when it has
+// none. mir.Verify enforces main's signature but deliberately accepts
+// modules without main (library modules are valid MIR), so callers
+// running user-supplied programs must check mod.Main() >= 0 first.
 func New(mod *mir.Module, cfg Config) *VM {
 	if cfg.Sched == nil {
 		cfg.Sched = sched.NewRandom(1)

@@ -206,21 +206,36 @@ type Meta struct {
 	OmitModule bool
 }
 
-// Capture wraps cfg's scheduler in a recorder and returns the adjusted
-// config plus a finish function that builds the Recording from the run's
-// Result. The wrapped run is bit-identical to the unwrapped one (the
-// recorder is purely observational); cost when recording is the loss of
-// the interpreter's devirtualized scheduler fast path, and zero when not
-// capturing at all.
+// Capture wraps cfg's scheduler in an unbounded recorder and returns the
+// adjusted config plus a finish function that builds the Recording from
+// the run's Result. The wrapped run is bit-identical to the unwrapped one
+// (the recorder is purely observational). Recording costs the ring
+// appends only: the interpreter keeps its devirtualized *sched.Random
+// fast path through the recorder, and not capturing costs nothing.
 func Capture(mod *mir.Module, cfg interp.Config, meta Meta) (interp.Config, func(*interp.Result) *Recording) {
+	return CaptureFlight(mod, cfg, meta, 0)
+}
+
+// CaptureFlight is Capture with the recorder's ring bounded to limit
+// segments (and Intn draws); limit <= 0 keeps the whole stream. Memory is
+// then bounded regardless of run length. The finish function returns nil
+// when the ring wrapped: a truncated stream replays from the wrong state,
+// so it must never be passed off as a reproducer. The runner arms a
+// bounded capture on every job when Engine.FlightLimit is set; the
+// telemetry server (internal/obs/serve) retains the resulting recordings
+// and serves them at /runs/{id}/recording.
+func CaptureFlight(mod *mir.Module, cfg interp.Config, meta Meta, limit int) (interp.Config, func(*interp.Result) *Recording) {
 	if cfg.Sched == nil {
 		cfg.Sched = sched.NewRandom(1)
 	}
-	rec := sched.NewRecorder(cfg.Sched)
+	rec := sched.NewFlightRecorder(cfg.Sched, limit)
 	inner := cfg.Sched.Name()
 	cfg.Sched = rec
 	knobs := cfg
 	finish := func(r *interp.Result) *Recording {
+		if rec.Truncated() {
+			return nil
+		}
 		text, hash := artifactOf(mod)
 		out := &Recording{
 			ModuleName:       mod.Name,
@@ -233,8 +248,8 @@ func Capture(mod *mir.Module, cfg interp.Config, meta Meta) (interp.Config, func
 			CollectOutput:    knobs.CollectOutput,
 			NoDeadlockCycles: knobs.NoDeadlockCycles,
 			Fingerprint:      FingerprintOf(r),
-			Segments:         append([]sched.Segment(nil), rec.Segments()...),
-			Intns:            append([]int64(nil), rec.Intns()...),
+			Segments:         rec.Segments(),
+			Intns:            rec.Intns(),
 		}
 		if !meta.OmitModule {
 			out.ModuleText = text

@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -82,6 +83,46 @@ func TestPaperBugsRoundTrip(t *testing.T) {
 		}
 		if !failed {
 			t.Errorf("%s: no PCT seed in the search failed on the raw forced program", b.Name)
+		}
+	}
+}
+
+// opaqueSched hides a scheduler's concrete type, so the interpreter takes
+// every Pick and Intn through the Scheduler interface instead of its
+// devirtualized *sched.Random fast path.
+type opaqueSched struct{ sched.Scheduler }
+
+// TestFastPathRecordingMatchesInterfacePath pins that a recording taken
+// on the interpreter's devirtualized path (a *sched.Random under the
+// recorder: fast-path picks reported through Note/NoteRun) is the same
+// stream the interface path records for the same seed, over every paper
+// bug raw and survival-hardened.
+func TestFastPathRecordingMatchesInterfacePath(t *testing.T) {
+	for _, b := range bugs.All() {
+		raw := b.Program(bugs.Config{Light: true, ForceBug: true})
+		h, err := core.Harden(raw, core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: harden: %v", b.Name, err)
+		}
+		for i, mod := range []*mir.Module{raw, h.Module} {
+			variant := [...]string{"raw", "hardened"}[i]
+			for seed := int64(0); seed < 3; seed++ {
+				_, fast := replay.Record(mod, randCfg(seed), replay.Meta{Seed: seed})
+				slowCfg := randCfg(seed)
+				slowCfg.Sched = opaqueSched{slowCfg.Sched}
+				_, slow := replay.Record(mod, slowCfg, replay.Meta{Seed: seed})
+				label := fmt.Sprintf("%s-%s seed %d", b.Name, variant, seed)
+				if !reflect.DeepEqual(fast.Segments, slow.Segments) {
+					t.Errorf("%s: fast path recorded %d segments, interface path %d (streams differ)",
+						label, len(fast.Segments), len(slow.Segments))
+				}
+				if !reflect.DeepEqual(fast.Intns, slow.Intns) {
+					t.Errorf("%s: Intn draws differ: fast %v, interface %v", label, fast.Intns, slow.Intns)
+				}
+				if fast.Fingerprint != slow.Fingerprint {
+					t.Errorf("%s: fingerprint differs\n fast %+v\nslow %+v", label, fast.Fingerprint, slow.Fingerprint)
+				}
+			}
 		}
 	}
 }

@@ -73,14 +73,18 @@ type Engine struct {
 	// FlightLimit segments): any failing run yields a complete replayable
 	// recording in its RunInfo without -record having been asked for,
 	// while long healthy runs wrap the ring and cost only its memory.
-	// Ignored when Recorder is set (a full capture is already being
-	// taken). Use replay/sched defaults via DefaultFlightLimit.
+	// Ignored when Recorder is set: every job is then captured by the
+	// same recorder with no bound, so written artifacts always replay
+	// from the start. See DefaultFlightLimit.
 	FlightLimit int
 }
 
 // DefaultFlightLimit is the flight-recorder ring bound engines should use
-// unless they have a reason not to.
-const DefaultFlightLimit = sched.DefaultFlightSegments
+// unless they have a reason not to: deep enough that every forced-failure
+// benchmark run fits with a wide margin (their full schedules run to a
+// few thousand segments), small enough that a worker pool of
+// flight-recorded jobs stays in the megabytes.
+const DefaultFlightLimit = 1 << 14
 
 // RunInfo is one executed job's telemetry record, delivered to RunHook.
 type RunInfo struct {
@@ -95,10 +99,9 @@ type RunInfo struct {
 	// Result is the run's outcome (never nil; a panicked job arrives as a
 	// mir.FailPanic result).
 	Result *interp.Result
-	// Recording is the job's schedule recording: the full capture when
-	// the engine has a Recorder, the flight-ring capture when FlightLimit
-	// is set, nil otherwise — and nil when the flight ring wrapped (see
-	// RecordingTruncated).
+	// Recording is the job's schedule recording when the engine has a
+	// Recorder (unbounded) or a FlightLimit (bounded ring), nil otherwise
+	// — and nil when the flight ring wrapped (see RecordingTruncated).
 	Recording *replay.Recording
 	// RecordingTruncated reports that a flight recording existed but
 	// wrapped its ring, so no complete replayable stream survives.
@@ -311,11 +314,11 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 		defer t.Stop()
 	}
 	var finish func(*interp.Result) *replay.Recording
-	var flight *replay.FlightCapture
-	if e.Recorder != nil {
-		cfg, finish = replay.Capture(mod, cfg, meta)
-	} else if e.FlightLimit > 0 {
-		cfg, flight = replay.CaptureFlight(mod, cfg, meta, e.FlightLimit)
+	if limit := e.FlightLimit; e.Recorder != nil || limit > 0 {
+		if e.Recorder != nil {
+			limit = 0 // unbounded: the recorder's artifacts must replay from the start
+		}
+		cfg, finish = replay.CaptureFlight(mod, cfg, meta, limit)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -340,15 +343,15 @@ func (e Engine) RunJob(mod *mir.Module, cfg interp.Config, meta replay.Meta) (re
 					rec, truncated, path = nil, false, ""
 				}
 			}()
-			switch {
-			case finish != nil:
-				// Even a panicked run's partial schedule is worth keeping: it
-				// is the prefix that drove the interpreter into the panic.
-				rec = finish(res)
+			if finish == nil {
+				return
+			}
+			// Even a panicked run's partial schedule is worth keeping: it
+			// is the prefix that drove the interpreter into the panic.
+			rec = finish(res)
+			truncated = rec == nil
+			if e.Recorder != nil {
 				path = e.Recorder.Save(rec, res)
-			case flight != nil:
-				rec = flight.Finish(res)
-				truncated = rec == nil
 			}
 		}()
 		if e.RunHook != nil {

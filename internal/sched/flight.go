@@ -1,51 +1,43 @@
 package sched
 
-// This file is the always-on half of record-and-replay: a FlightRecorder
-// is a Recorder with a bounded memory footprint. Where Recorder keeps the
-// whole decision stream (right for deliberate -record captures, wrong for
-// "record every job of a multi-hour sweep"), FlightRecorder keeps a ring
-// of the most recent segments and Intn draws — aviation-style: always
-// writing, bounded tape, and the tape only matters when something goes
-// wrong.
-//
-// The payoff is the common forensic case: failing runs die young. A
-// forced-failure run's whole schedule fits in a small ring, so for
-// exactly the runs worth keeping the recording is complete and replayable
-// bit-identically; long healthy runs wrap the ring and their (useless)
-// recording is marked truncated instead of eating memory proportional to
-// their step count.
+import "math"
 
-// FlightRecorder wraps an inner scheduler and records the tail of its
-// decision stream into bounded rings. Like Recorder it is purely
-// observational: Pick and Intn return exactly what the inner scheduler
-// returns, so an attached flight recorder never changes a run.
+// This file is the schedule recorder. A FlightRecorder keeps the decision
+// stream in rings of a chosen capacity: unbounded for a deliberate
+// -record capture, or a ring of the most recent segments and Intn draws
+// for always-on recording of every job of a multi-hour sweep —
+// aviation-style: always writing, bounded tape, and the tape only
+// matters when something goes wrong.
+//
+// The payoff of the bounded ring is the common forensic case: failing
+// runs die young. A forced-failure run's whole schedule fits in a small
+// ring, so for exactly the runs worth keeping the recording is complete
+// and replayable bit-identically; long healthy runs wrap the ring and
+// their (useless) recording is marked truncated instead of eating memory
+// proportional to their step count.
+
+// FlightRecorder wraps an inner scheduler and records its decision stream
+// into rings. It is purely observational: Pick and Intn return exactly
+// what the inner scheduler returns, so an attached recorder never changes
+// a run.
 type FlightRecorder struct {
 	inner Scheduler
 	limit int // ring capacity, in segments (and in Intn draws)
 
-	segs  []Segment // ring; logical order starts at segStart once full
+	segs  []Segment // ring; logical order starts at start once full
 	start int       // index of the oldest segment when len(segs) == limit
 
 	intns     []int64 // ring of Intn draws
 	intnStart int
 
-	picks        int64
-	droppedSegs  int64 // segments evicted from the ring
-	droppedPicks int64 // picks inside evicted segments
-	droppedIntns int64
+	wrapped bool // a segment or draw was evicted
 }
 
-// DefaultFlightSegments is the ring capacity used when limit <= 0: deep
-// enough that every forced-failure benchmark run fits with a wide margin
-// (their full schedules run to a few thousand segments), small enough
-// that a worker pool of flight-recorded jobs stays in the megabytes.
-const DefaultFlightSegments = 1 << 14
-
-// NewFlightRecorder returns a flight recorder around inner keeping at
-// most limit segments (DefaultFlightSegments if limit <= 0).
+// NewFlightRecorder returns a recorder around inner keeping at most limit
+// segments and limit Intn draws; limit <= 0 keeps the whole stream.
 func NewFlightRecorder(inner Scheduler, limit int) *FlightRecorder {
 	if limit <= 0 {
-		limit = DefaultFlightSegments
+		limit = math.MaxInt
 	}
 	return &FlightRecorder{inner: inner, limit: limit}
 }
@@ -73,7 +65,6 @@ func (f *FlightRecorder) Pick(runnable []int, step int64) int {
 // routing every pick through Pick would produce. The common same-thread
 // case is one compare and one increment.
 func (f *FlightRecorder) Note(tid int32) {
-	f.picks++
 	if len(f.segs) > 0 {
 		if last := f.lastIdx(); f.segs[last].TID == tid {
 			f.segs[last].N++
@@ -89,7 +80,6 @@ func (f *FlightRecorder) NoteRun(tid int32, n int64) {
 	if n <= 0 {
 		return
 	}
-	f.picks += n
 	if len(f.segs) > 0 {
 		if last := f.lastIdx(); f.segs[last].TID == tid {
 			f.segs[last].N += n
@@ -106,8 +96,7 @@ func (f *FlightRecorder) push(tid int32, n int64) {
 		f.segs = append(f.segs, Segment{TID: tid, N: n})
 		return
 	}
-	f.droppedSegs++
-	f.droppedPicks += f.segs[f.start].N
+	f.wrapped = true
 	f.segs[f.start] = Segment{TID: tid, N: n}
 	f.start++
 	if f.start == f.limit {
@@ -122,7 +111,7 @@ func (f *FlightRecorder) Intn(n int) int {
 		f.intns = append(f.intns, int64(v))
 		return v
 	}
-	f.droppedIntns++
+	f.wrapped = true
 	f.intns[f.intnStart] = int64(v)
 	f.intnStart++
 	if f.intnStart == f.limit {
@@ -137,33 +126,19 @@ func (f *FlightRecorder) Name() string { return "flight(" + f.inner.Name() + ")"
 // Inner returns the wrapped scheduler.
 func (f *FlightRecorder) Inner() Scheduler { return f.inner }
 
-// Segments returns a copy of the retained pick stream, oldest first.
+// Segments returns a copy of the retained pick stream, oldest first (nil
+// when nothing was picked).
 func (f *FlightRecorder) Segments() []Segment {
-	out := make([]Segment, 0, len(f.segs))
-	out = append(out, f.segs[f.start:]...)
-	out = append(out, f.segs[:f.start]...)
-	return out
+	return append(append([]Segment(nil), f.segs[f.start:]...), f.segs[:f.start]...)
 }
 
-// Intns returns a copy of the retained Intn draws, oldest first.
+// Intns returns a copy of the retained Intn draws, oldest first (nil when
+// nothing was drawn).
 func (f *FlightRecorder) Intns() []int64 {
-	out := make([]int64, 0, len(f.intns))
-	out = append(out, f.intns[f.intnStart:]...)
-	out = append(out, f.intns[:f.intnStart]...)
-	return out
+	return append(append([]int64(nil), f.intns[f.intnStart:]...), f.intns[:f.intnStart]...)
 }
-
-// Picks returns the total number of scheduling decisions observed
-// (including ones whose segments have been evicted).
-func (f *FlightRecorder) Picks() int64 { return f.picks }
 
 // Truncated reports whether the ring wrapped: the retained stream is then
 // a strict suffix of the run's schedule and cannot replay the run from
 // the start.
-func (f *FlightRecorder) Truncated() bool { return f.droppedSegs > 0 || f.droppedIntns > 0 }
-
-// Dropped returns the eviction counters: whole segments evicted, picks
-// inside them, and Intn draws evicted.
-func (f *FlightRecorder) Dropped() (segs, picks, intns int64) {
-	return f.droppedSegs, f.droppedPicks, f.droppedIntns
-}
+func (f *FlightRecorder) Truncated() bool { return f.wrapped }

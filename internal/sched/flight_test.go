@@ -15,13 +15,11 @@ func TestFlightRecorderTransparent(t *testing.T) {
 	runnable := [][]int{
 		{0}, {0, 1}, {0, 1, 2}, {1, 2}, {0, 2, 5, 9}, {3}, {0, 1, 2, 3, 4},
 	}
-	var picks int64
 	for step := int64(0); step < 10_000; step++ {
 		r := runnable[int(step)%len(runnable)]
 		if got, want := fr.Pick(r, step), plain.Pick(r, step); got != want {
 			t.Fatalf("step %d: flight pick %d, plain pick %d", step, got, want)
 		}
-		picks++
 		if step%97 == 0 {
 			n := int(step%7) + 2
 			if got, want := fr.Intn(n), plain.Intn(n); got != want {
@@ -29,29 +27,17 @@ func TestFlightRecorderTransparent(t *testing.T) {
 			}
 		}
 	}
-	if fr.Picks() != picks {
-		t.Fatalf("Picks() = %d, want %d", fr.Picks(), picks)
-	}
 	if !fr.Truncated() {
 		t.Fatal("10k picks through an 8-segment ring did not truncate")
 	}
-	segs, dropped, _ := fr.Dropped()
-	var retained int64
-	for _, s := range fr.Segments() {
-		retained += s.N
-	}
-	if dropped+retained != picks {
-		t.Fatalf("dropped %d + retained %d picks != %d observed (%d segments evicted)",
-			dropped, retained, picks, segs)
-	}
 }
 
-// TestFlightRecorderMatchesRecorder checks that an un-wrapped (never
-// truncated) flight recording is segment-for-segment identical to a full
-// Recorder capture of the same run — the property that makes a failing
+// TestFlightRecorderMatchesRecorder checks that a bounded flight
+// recording that never wraps is segment-for-segment identical to an
+// unbounded capture of the same run — the property that makes a failing
 // run's flight tape a complete, bit-identical replayable artifact.
 func TestFlightRecorderMatchesRecorder(t *testing.T) {
-	full := NewRecorder(NewRandom(9))
+	full := NewFlightRecorder(NewRandom(9), 0) // unbounded
 	fr := NewFlightRecorder(NewRandom(9), 1<<16)
 
 	runnable := [][]int{{0, 1, 2, 3}, {1, 3}, {0, 2}, {2, 3, 4}}
@@ -90,9 +76,8 @@ func TestFlightRecorderRingOrder(t *testing.T) {
 	if got := fr.Segments(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring retained %+v, want %+v", got, want)
 	}
-	segs, picks, _ := fr.Dropped()
-	if segs != 4 || picks != 4 {
-		t.Fatalf("Dropped() = (%d segs, %d picks), want (4, 4)", segs, picks)
+	if !fr.Truncated() {
+		t.Fatal("7 segments through a 3-segment ring did not truncate")
 	}
 }
 
@@ -107,5 +92,25 @@ func TestFlightRecorderLastSegmentExtends(t *testing.T) {
 	want := []Segment{{TID: 2, N: 1}, {TID: 3, N: 1}, {TID: 4, N: 3}}
 	if got := fr.Segments(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("ring retained %+v, want %+v", got, want)
+	}
+}
+
+// TestFlightRecorderUnbounded pins limit <= 0 as "keep everything": a
+// stream far longer than any bounded ring in use is retained whole.
+func TestFlightRecorderUnbounded(t *testing.T) {
+	const n = 1 << 16
+	fr := NewFlightRecorder(NewRandom(1), 0)
+	for i := 0; i < n; i++ {
+		fr.Note(int32(i % 2)) // every pick switches thread: one segment each
+		fr.Intn(3)
+	}
+	if fr.Truncated() {
+		t.Fatal("unbounded recorder truncated")
+	}
+	if got := len(fr.Segments()); got != n {
+		t.Fatalf("retained %d segments, want %d", got, n)
+	}
+	if got := len(fr.Intns()); got != n {
+		t.Fatalf("retained %d draws, want %d", got, n)
 	}
 }

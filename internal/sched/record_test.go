@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// TestRecorderTransparent pins the recording contract: a Recorder-wrapped
-// scheduler returns exactly the decisions the unwrapped scheduler would,
-// for both Pick and Intn.
+// TestRecorderTransparent pins the recording contract of the full
+// (unbounded) recorder: a wrapped scheduler returns exactly the decisions
+// the unwrapped scheduler would, for both Pick and Intn, and the recorded
+// segments are run-length-maximal and account for every pick.
 func TestRecorderTransparent(t *testing.T) {
 	plain := NewRandom(42)
-	rec := NewRecorder(NewRandom(42))
+	rec := NewFlightRecorder(NewRandom(42), 0) // unbounded
 
 	runnable := [][]int{
 		{0}, {0, 1}, {0, 1, 2}, {1, 2}, {0, 2, 5, 9}, {3}, {0, 1, 2, 3, 4},
@@ -31,11 +32,12 @@ func TestRecorderTransparent(t *testing.T) {
 			}
 		}
 	}
-	if rec.Picks() != picks {
-		t.Fatalf("Picks() = %d, want %d", rec.Picks(), picks)
+	if rec.Truncated() {
+		t.Fatal("unbounded recorder truncated")
 	}
+	segs := rec.Segments()
 	var total int64
-	for _, s := range rec.Segments() {
+	for _, s := range segs {
 		if s.N <= 0 {
 			t.Fatalf("segment with non-positive length: %+v", s)
 		}
@@ -44,10 +46,10 @@ func TestRecorderTransparent(t *testing.T) {
 	if total != picks {
 		t.Fatalf("segment lengths sum to %d, want %d picks", total, picks)
 	}
-	for i := 1; i < len(rec.Segments()); i++ {
-		if rec.Segments()[i].TID == rec.Segments()[i-1].TID {
+	for i := 1; i < len(segs); i++ {
+		if segs[i].TID == segs[i-1].TID {
 			t.Fatalf("adjacent segments %d and %d share tid %d (not run-length-maximal)",
-				i-1, i, rec.Segments()[i].TID)
+				i-1, i, segs[i].TID)
 		}
 	}
 }
@@ -55,7 +57,7 @@ func TestRecorderTransparent(t *testing.T) {
 // TestSegmentReplayFaithful replays a recorded stream against the same
 // pick sequence and checks every decision matches with zero divergences.
 func TestSegmentReplayFaithful(t *testing.T) {
-	rec := NewRecorder(NewRandom(7))
+	rec := NewFlightRecorder(NewRandom(7), 0) // unbounded
 	runnable := [][]int{{0, 1, 2}, {0, 2}, {1, 2, 3}, {2}}
 	var picks []int
 	var draws []int
